@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test vet lint race check oracle traced-oracle fuzz bench bench-alloc bench-scaling flight-sample trace-sample
+.PHONY: build test vet lint race check oracle traced-oracle fuzz bench bench-alloc bench-scaling flight-sample trace-sample livebench
 
 build:
 	$(GO) build ./...
@@ -91,7 +91,17 @@ trace-sample:
 # Hot-path allocation micro-benchmarks (probe/insert, punctuation
 # matching). Run with -benchmem semantics via b.ReportAllocs().
 bench-alloc:
-	$(GO) test -run=NONE -bench='Probe|Insert|SetMatch|Matches' ./internal/joinbase/ ./internal/punct/
+	$(GO) test -run=NONE -bench='Probe|Insert|SetMatch|Matches|SetAdd' ./internal/joinbase/ ./internal/punct/
+
+# The live-pipeline benchmark (BENCHMARK.json): one 24 s open-loop run
+# of workload W (auction, spill) with schedule seed SEED, end-to-end
+# metrics; TRACE=1 gives the per-layer metrics of a traced run instead.
+# Build outputs go under .bench_build.
+W ?= auction
+SEED ?= 1
+TRACE ?= 0
+livebench:
+	bash livebench/run.sh --workload $(W) --seed $(SEED) --seconds 24 --trace $(TRACE)
 
 # ShardedPJoin scaling sweep (wall clock + cost-model makespan).
 bench-scaling:

@@ -27,6 +27,9 @@ type NaryPJoin struct {
 	attrs   []int
 	outSc   *stream.Schema
 	out     op.Emitter
+	// offsets[i] is the position of stream i's first attribute in the
+	// output schema.
+	offsets []int
 
 	// Per stream: join value -> stored tuples (with pid for counts).
 	tables []map[value.Value][]*naryTuple
@@ -97,11 +100,15 @@ func NewNary(schemas []*stream.Schema, attrs []int, out op.Emitter) (*NaryPJoin,
 		tables:  make([]map[value.Value][]*naryTuple, n),
 		sizes:   make([]int, n),
 		psets:   make([]*punct.Set, n),
+		offsets: make([]int, n),
 		eos:     make([]bool, n),
 	}
+	off := 0
 	for i := 0; i < n; i++ {
 		j.tables[i] = make(map[value.Value][]*naryTuple)
 		j.psets[i] = punct.NewKeyedSet(attrs[i], false)
+		j.offsets[i] = off
+		off += schemas[i].Width()
 	}
 	return j, nil
 }
@@ -278,16 +285,22 @@ func (j *NaryPJoin) processPunct(s int, p punct.Punctuation, ts stream.Time) err
 	if err != nil {
 		return err
 	}
-	// Eager index build over stream s's own state.
-	for _, ts2 := range j.tables[s] {
-		for _, nt := range ts2 {
-			if nt.pid == punct.NoPID && p.Matches(nt.t.Values) {
-				nt.pid = e.PID
-				e.Count++
-			}
+	// Eager index build over stream s's own state. A constant or an
+	// enumeration on the join attribute names the only key groups that
+	// can hold a match; any other pattern walks every group.
+	switch pat := p.PatternAt(j.attrs[s]); pat.Kind() {
+	case punct.Constant:
+		j.indexGroup(s, e, j.tables[s][pat.ConstVal()])
+	case punct.Enum:
+		for _, v := range pat.Members() {
+			j.indexGroup(s, e, j.tables[s][v])
+		}
+	default:
+		for _, group := range j.tables[s] {
+			j.indexGroup(s, e, group)
 		}
 	}
-	e.Indexed = true
+	j.psets[s].MarkAllIndexed()
 
 	// Eager purge of every other state (§6): remove tuples whose join
 	// value is now dead.
@@ -300,7 +313,7 @@ func (j *NaryPJoin) processPunct(s int, p punct.Punctuation, ts stream.Time) err
 				continue
 			}
 			for _, nt := range tuples {
-				j.decrement(k, nt)
+				j.psets[k].DecCount(nt.pid)
 			}
 			j.purged += int64(len(tuples))
 			j.sizes[k] -= len(tuples)
@@ -308,6 +321,17 @@ func (j *NaryPJoin) processPunct(s int, p punct.Punctuation, ts stream.Time) err
 		}
 	}
 	return nil
+}
+
+// indexGroup gives e's pid to every unindexed tuple of group that
+// matches it.
+func (j *NaryPJoin) indexGroup(s int, e *punct.Entry, group []*naryTuple) {
+	for _, nt := range group {
+		if nt.pid == punct.NoPID && e.P.Matches(nt.t.Values) {
+			nt.pid = e.PID
+			j.psets[s].IncCount(e)
+		}
+	}
 }
 
 // RequestPropagation releases every currently propagable punctuation
@@ -321,25 +345,10 @@ func (j *NaryPJoin) RequestPropagation(now stream.Time) error {
 	return j.propagate(j.now)
 }
 
-func (j *NaryPJoin) decrement(side int, nt *naryTuple) {
-	if nt.pid == punct.NoPID {
-		return
-	}
-	if e := j.psets[side].Get(nt.pid); e != nil && e.Count > 0 {
-		e.Count--
-	}
-}
-
 // propagate releases every punctuation whose own-state count reached
 // zero, rewritten over the output schema (its own positions keep their
 // patterns; every stream's join attribute inherits the join pattern).
 func (j *NaryPJoin) propagate(ts stream.Time) error {
-	offsets := make([]int, len(j.schemas))
-	off := 0
-	for i, sc := range j.schemas {
-		offsets[i] = off
-		off += sc.Width()
-	}
 	for s, set := range j.psets {
 		for _, e := range set.Propagable() {
 			pats := make([]punct.Pattern, j.outSc.Width())
@@ -347,7 +356,7 @@ func (j *NaryPJoin) propagate(ts stream.Time) error {
 				pats[i] = punct.Star()
 			}
 			for i := 0; i < e.P.Width(); i++ {
-				pats[offsets[s]+i] = e.P.PatternAt(i)
+				pats[j.offsets[s]+i] = e.P.PatternAt(i)
 			}
 			outP, err := punct.New(pats...)
 			if err != nil {

@@ -196,6 +196,9 @@ type PJoin struct {
 	// disk tuples in buckets the pass had already read, so its count
 	// stays untrusted until the next pass completes.
 	pendBound [2]punct.PID
+	// indexBuf is the key-group probe buffer of index build, reused
+	// across calls and cleared after each so it pins no tuple.
+	indexBuf []*store.StoredTuple
 
 	obs *obs.Instr
 	// lat holds the operator's latency histograms: result latency (one
@@ -841,51 +844,121 @@ type purgeShare struct {
 // match count (own side's index) is decremented, possibly making that
 // punctuation propagable.
 func (j *PJoin) discard(side int, sd *store.StoredTuple) {
-	if sd.PID == punct.NoPID {
-		return
-	}
-	if e := j.psets[side].Get(sd.PID); e != nil && e.Count > 0 {
-		e.Count--
-	}
+	j.psets[side].DecCount(sd.PID)
 }
 
 // indexBuild runs the punctuation index building algorithm (paper
 // Fig. 3, Index-Build): tuples with a null pid are matched against the
-// not-yet-indexed punctuations of their own side; matching tuples get
-// that punctuation's pid and bump its count. If the state has
-// disk-resident tuples, the newly indexed punctuations are marked
-// disk-pending: their counts cannot be trusted until a disk pass indexes
-// the disk portion.
+// not-yet-indexed punctuations of their own side; each matching tuple
+// gets the pid of the earliest-arrived one it matches and bumps its
+// count. If the state has disk-resident tuples, the newly indexed
+// punctuations are marked disk-pending: their counts cannot be trusted
+// until a disk pass indexes the disk portion.
 func (j *PJoin) indexBuild(s int) {
-	pending := j.psets[s].Unindexed()
+	set := j.psets[s]
+	pending := set.Unindexed()
 	if len(pending) == 0 {
 		return
 	}
-	st := j.base.States[s]
-	scanOne := func(sd *store.StoredTuple) {
-		j.base.M.IndexScanned++
-		if sd.PID != punct.NoPID {
-			return
-		}
+	if j.cfg.DisableStateIndex || !j.indexByKey(s, pending) {
+		j.indexScan(s, pending)
+	}
+	if j.base.States[s].AnyDisk() {
 		for _, e := range pending {
-			if e.P.Matches(sd.T.Values) {
-				sd.PID = e.PID
-				e.Count++
-				break
-			}
+			j.diskPending[s][e.PID] = true
 		}
 	}
+	set.MarkAllIndexed()
+}
+
+// indexScan is index build by full scan: every memory-resident and
+// purge-buffered tuple of the state is examined against the pending
+// entries.
+func (j *PJoin) indexScan(s int, pending []*punct.Entry) {
+	st := j.base.States[s]
+	scanOne := func(sd *store.StoredTuple) { j.indexTuple(s, sd, pending) }
 	for i := 0; i < st.NumBuckets(); i++ {
 		st.Bucket(i).ForEachMem(scanOne)
 		for _, sd := range st.Bucket(i).PurgeBuf {
-			scanOne(sd)
+			j.indexTuple(s, sd, pending)
 		}
 	}
-	hasDisk := st.AnyDisk()
+}
+
+// indexByKey is index build by key-group lookup, for the common case
+// where every pending entry's join-attribute pattern is a constant or an
+// enumeration: only the memory-resident key groups those patterns name
+// can hold a matching tuple, so only they are examined, each once (plus
+// the purge buffers, which are not key-grouped, when they are
+// non-empty). It reports false, having done nothing, when some pending
+// pattern has another kind.
+func (j *PJoin) indexByKey(s int, pending []*punct.Entry) bool {
+	attr := j.attrs[s]
 	for _, e := range pending {
-		e.Indexed = true
-		if hasDisk {
-			j.diskPending[s][e.PID] = true
+		if k := e.P.KindAt(attr); k != punct.Constant && k != punct.Enum {
+			return false
+		}
+	}
+	for i, e := range pending {
+		pat := e.P.PatternAt(attr)
+		if pat.Kind() == punct.Constant {
+			j.indexKeyGroup(s, pending, i, pat.ConstVal())
+			continue
+		}
+		for _, v := range pat.Members() {
+			j.indexKeyGroup(s, pending, i, v)
+		}
+	}
+	st := j.base.States[s]
+	if st.Stats().PurgeTuples > 0 {
+		for i := 0; i < st.NumBuckets(); i++ {
+			for _, sd := range st.Bucket(i).PurgeBuf {
+				j.indexTuple(s, sd, pending)
+			}
+		}
+	}
+	return true
+}
+
+// indexKeyGroup indexes the memory-resident group of join value key for
+// pending[i], unless an earlier pending entry names the key too — then
+// the group was indexed with that entry. No entry before pending[i] can
+// match a tuple of the group, so each unindexed tuple gets the pid of
+// the earliest entry of pending[i:] it matches, exactly as the scan
+// assigns it.
+func (j *PJoin) indexKeyGroup(s int, pending []*punct.Entry, i int, key value.Value) {
+	attr := j.attrs[s]
+	for _, e := range pending[:i] {
+		if e.P.PatternAt(attr).Matches(key) {
+			return
+		}
+	}
+	group, examined := j.base.States[s].ProbeMem(key, j.indexBuf[:0])
+	j.base.M.IndexScanned += int64(examined)
+	for k, sd := range group {
+		j.assignPID(s, sd, pending[i:])
+		group[k] = nil
+	}
+	j.indexBuf = group[:0]
+}
+
+// indexTuple examines one tuple for index build.
+func (j *PJoin) indexTuple(s int, sd *store.StoredTuple, pending []*punct.Entry) {
+	j.base.M.IndexScanned++
+	j.assignPID(s, sd, pending)
+}
+
+// assignPID gives an unindexed tuple the pid of the earliest entry of
+// pending it matches.
+func (j *PJoin) assignPID(s int, sd *store.StoredTuple, pending []*punct.Entry) {
+	if sd.PID != punct.NoPID {
+		return
+	}
+	for _, e := range pending {
+		if e.P.Matches(sd.T.Values) {
+			sd.PID = e.PID
+			j.psets[s].IncCount(e)
+			return
 		}
 	}
 }
@@ -899,7 +972,7 @@ func (j *PJoin) indexDiskTuple(side int, sd *store.StoredTuple) {
 	j.base.M.IndexScanned++
 	if e := j.psets[side].FirstMatch(sd.T.Values); e != nil {
 		sd.PID = e.PID
-		e.Count++
+		j.psets[side].IncCount(e)
 	}
 }
 
@@ -980,7 +1053,7 @@ func (j *PJoin) propagate(now stream.Time) error {
 					int64(e.PID), 0, 0, int64(now)-e.ArrivedAt)
 			}
 			if j.cfg.RetainPropagated {
-				e.Propagated = true
+				j.psets[s].MarkPropagated(e)
 			} else {
 				j.psets[s].Remove(e.PID)
 			}
@@ -1040,7 +1113,7 @@ func (j *PJoin) relocate(now stream.Time) error {
 			j.base.M.IndexScanned++
 			if e := j.psets[side].FirstMatch(sd.T.Values); e != nil {
 				sd.PID = e.PID
-				e.Count++
+				j.psets[side].IncCount(e)
 			}
 		})
 		return nil

@@ -26,6 +26,15 @@ func (c *lockedCollector) Emit(it stream.Item) error {
 	return nil
 }
 
+// snapshot returns the items emitted so far. A run that failed returns
+// while the sharded join's shard goroutines may still be emitting, so
+// the harness reads under the lock.
+func (c *lockedCollector) snapshot() []stream.Item {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.items[:len(c.items):len(c.items)]
+}
+
 // Outcome is one run's audited output: the result-tuple multiset
 // (keyed by full rendering — values and timestamp, both deterministic
 // because a result's timestamp is the max of its constituents'), the
@@ -74,7 +83,7 @@ func Run(sc *Scenario, v Variant, disableFault bool) *Outcome {
 		return &Outcome{Err: err}
 	}
 	out := drive(j, sc, v)
-	out.Tuples, out.Puncts, out.EOS = summarize(sink.items)
+	out.Tuples, out.Puncts, out.EOS = summarize(sink.snapshot())
 	if jj, ok := j.(joinOp); ok {
 		out.Metrics = jj.Metrics()
 		out.Lat = jj.Latencies()
@@ -91,7 +100,7 @@ func RunOracle(sc *Scenario) *Outcome {
 		return &Outcome{Err: err}
 	}
 	out := drive(j, sc, Variant{})
-	out.Tuples, out.Puncts, out.EOS = summarize(sink.items)
+	out.Tuples, out.Puncts, out.EOS = summarize(sink.snapshot())
 	return out
 }
 

@@ -39,7 +39,7 @@ func RunTraced(sc *Scenario, v Variant) (*Outcome, *span.Recorder) {
 		return &Outcome{Err: err}, rec
 	}
 	out := drive(j, sc, v)
-	out.Tuples, out.Puncts, out.EOS = summarize(sink.items)
+	out.Tuples, out.Puncts, out.EOS = summarize(sink.snapshot())
 	if jj, ok := j.(joinOp); ok {
 		out.Metrics = jj.Metrics()
 		out.Lat = jj.Latencies()

@@ -1,6 +1,7 @@
 package punct
 
 import (
+	"fmt"
 	"testing"
 
 	"pjoin/internal/value"
@@ -101,5 +102,36 @@ func TestSetMatchAttrDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("SetMatchAttr allocates %.1f objects per call, want 0", allocs)
+	}
+}
+
+// BenchmarkSetAddVerified: one constant punctuation added to, and
+// removed from, a verified set already holding n indexed constant
+// entries — the per-punctuation bookkeeping of a join with n open
+// punctuations. A
+// constant is nested-or-disjoint with every pattern, so verification
+// checks it against nothing and ns/op stays flat in n.
+func BenchmarkSetAddVerified(b *testing.B) {
+	for _, n := range []int{16, 512, 4096} {
+		b.Run(fmt.Sprintf("open=%d", n), func(b *testing.B) {
+			s := NewVerifiedSet(0)
+			for k := 0; k < n; k++ {
+				if _, err := s.Add(MustKeyOnly(2, 0, Const(value.Int(int64(k))))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// Open entries have been through index build.
+			s.MarkAllIndexed()
+			p := MustKeyOnly(2, 0, Const(value.Int(int64(n))))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e, err := s.Add(p)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.Remove(e.PID)
+			}
+		})
 	}
 }

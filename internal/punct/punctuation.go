@@ -73,6 +73,10 @@ func (p Punctuation) Width() int { return len(p.patterns) }
 // PatternAt returns the pattern for attribute i.
 func (p Punctuation) PatternAt(i int) Pattern { return p.patterns[i] }
 
+// KindAt returns the kind of the pattern for attribute i, without
+// copying the pattern.
+func (p Punctuation) KindAt(i int) PatternKind { return p.patterns[i].kind }
+
 // Matches implements match(t, p) for a tuple given as its attribute
 // values. A tuple of different width never matches.
 //

@@ -1,7 +1,9 @@
 package punct
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -47,6 +49,10 @@ type Entry struct {
 	// and drop attribution resolve the responsible entry and stamp its
 	// TraceID on the span; zero when tracing is off.
 	TraceID uint64
+
+	// zeroCand records that the entry sits in its set's zero-count
+	// candidate list (see Set.zero).
+	zeroCand bool
 }
 
 // ExhaustiveOn reports whether the punctuation promises exhaustion of a
@@ -79,6 +85,11 @@ func exhaustiveOn(p Punctuation, attr int) bool {
 // propagation rules need — setMatch and count-to-zero detection — and
 // optionally verifies the paper's nested-or-disjoint assumption over the
 // join attribute.
+//
+// An entry's Count, Indexed and Propagated fields are read-only outside
+// the set: they change only through IncCount, DecCount, MarkAllIndexed
+// and MarkPropagated, which keep the incremental Unindexed and
+// Propagable lists in step.
 type Set struct {
 	entries []*Entry
 	next    PID
@@ -87,6 +98,23 @@ type Set struct {
 	// pattern on that attribute is either disjoint from or a superset of
 	// every earlier pattern (§2.2's Ptn_i ∧ Ptn_j ∈ {∅, Ptn_i}).
 	verifyAttr int
+
+	// narrow holds, in arrival order, the entries whose verified-attribute
+	// pattern is a Range or an Enum. A Constant, Wildcard or Empty
+	// pattern is nested-or-disjoint with every pattern, so only a
+	// Range/Enum newcomer needs checking, and only against these.
+	narrow []*Entry
+
+	// pending holds the entries index build has not processed yet, in
+	// arrival order (Unindexed).
+	pending []*Entry
+
+	// zero holds the candidates for Propagable: indexed entries that
+	// reached count zero. It may hold stale entries (count back above
+	// zero, propagated or removed); Propagable filters them out. An entry
+	// is in the list exactly while its zeroCand flag is set, except that
+	// Remove clears the flag of an entry it leaves behind in the list.
+	zero []*Entry
 
 	// keyAttr >= 0 enables a fast-path index over that attribute for
 	// SetMatchAttr/FirstMatchAttr: entries whose key pattern is a
@@ -146,17 +174,12 @@ func (s *Set) Add(p Punctuation) (*Entry, error) {
 		if s.verifyAttr >= p.Width() {
 			return nil, fmt.Errorf("punct: verified attribute %d out of range for width %d", s.verifyAttr, p.Width())
 		}
-		np := p.PatternAt(s.verifyAttr)
-		for _, e := range s.entries {
-			old := e.P.PatternAt(s.verifyAttr)
-			// §2.2 requires each pair to be disjoint or nested. A new
-			// pattern CONTAINED in an earlier one is also accepted: it
-			// is a redundant re-promise (possible when the earlier
-			// entry is the union of compacted punctuations) and
-			// violates nothing semantically.
-			if !np.Disjoint(old) && !np.Contains(old) && !old.Contains(np) {
-				return nil, fmt.Errorf("punct: punctuation %s overlaps earlier %s on attribute %d without nesting",
-					p, e.P, s.verifyAttr)
+		if np := &p.patterns[s.verifyAttr]; np.narrow() {
+			for _, e := range s.narrow {
+				if !nestedOrDisjoint(np, &e.P.patterns[s.verifyAttr]) {
+					return nil, fmt.Errorf("punct: punctuation %s overlaps earlier %s on attribute %d without nesting",
+						p, e.P, s.verifyAttr)
+				}
 			}
 		}
 	}
@@ -164,8 +187,32 @@ func (s *Set) Add(p Punctuation) (*Entry, error) {
 	s.next++
 	s.entries = append(s.entries, e)
 	s.byPID[e.PID] = e
+	s.pending = append(s.pending, e)
+	if s.isNarrow(e) {
+		s.narrow = append(s.narrow, e)
+	}
 	s.addToIndex(e)
 	return e, nil
+}
+
+// narrow reports whether the pattern is a Range or an Enum: the only
+// kinds that can overlap another pattern without nesting (§2.2). A
+// Constant {c} lies inside or outside any pattern, the wildcard
+// contains every pattern and the empty pattern is disjoint from all.
+func (p *Pattern) narrow() bool { return p.kind == Range || p.kind == Enum }
+
+// isNarrow reports whether the entry belongs in the verification list.
+func (s *Set) isNarrow(e *Entry) bool {
+	return s.verifyAttr >= 0 && e.P.patterns[s.verifyAttr].narrow()
+}
+
+// nestedOrDisjoint is §2.2's pairwise condition: the patterns share no
+// value, or one contains the other. A new pattern CONTAINED in an
+// earlier one is also accepted: it is a redundant re-promise (possible
+// when the earlier entry is the union of compacted punctuations) and
+// violates nothing semantically.
+func nestedOrDisjoint(np, old *Pattern) bool {
+	return np.Contains(*old) || old.Contains(*np) || np.Disjoint(*old)
 }
 
 // addToIndex classifies an entry for the keyed fast path. Entries that
@@ -194,15 +241,40 @@ func (s *Set) Get(pid PID) *Entry { return s.byPID[pid] }
 // of the rest, and reports whether it was present. Propagated
 // punctuations "are immediately removed from the punctuation set" (§3.5).
 func (s *Set) Remove(pid PID) bool {
-	for i, e := range s.entries {
-		if e.PID == pid {
-			s.entries = append(s.entries[:i], s.entries[i+1:]...)
-			delete(s.byPID, pid)
-			s.dropFromIndex(e)
-			return true
+	e := s.byPID[pid]
+	if e == nil {
+		return false
+	}
+	i, _ := slices.BinarySearchFunc(s.entries, pid, func(e *Entry, pid PID) int { return cmp.Compare(e.PID, pid) })
+	s.entries = deleteEntry(s.entries, i)
+	delete(s.byPID, pid)
+	s.dropFromIndex(e)
+	if !e.Indexed {
+		s.pending = dropEntry(s.pending, e)
+	}
+	if s.isNarrow(e) {
+		s.narrow = dropEntry(s.narrow, e)
+	}
+	e.zeroCand = false // Propagable drops it from the zero list
+	return true
+}
+
+// deleteEntry removes es[i], preserving order, and clears the vacated
+// tail slot so the backing array does not pin the entry.
+func deleteEntry(es []*Entry, i int) []*Entry {
+	copy(es[i:], es[i+1:])
+	es[len(es)-1] = nil
+	return es[:len(es)-1]
+}
+
+// dropEntry removes e from es if present, preserving order.
+func dropEntry(es []*Entry, e *Entry) []*Entry {
+	for i, x := range es {
+		if x == e {
+			return deleteEntry(es, i)
 		}
 	}
-	return false
+	return es
 }
 
 func (s *Set) dropFromIndex(e *Entry) {
@@ -344,29 +416,77 @@ func (s *Set) PurgePlan(attr int, after PID) (direct []value.Value, scan []*Entr
 }
 
 // Unindexed returns the entries not yet processed by index build, in
-// arrival order (the pIndexSet of Fig. 3, lines 2-6).
-func (s *Set) Unindexed() []*Entry {
-	var out []*Entry
-	for _, e := range s.entries {
-		if !e.Indexed {
-			out = append(out, e)
-		}
+// arrival order (the pIndexSet of Fig. 3, lines 2-6). The slice is
+// shared and valid until the set next changes; do not append to it.
+func (s *Set) Unindexed() []*Entry { return s.pending }
+
+// MarkAllIndexed records that index build has processed every entry
+// Unindexed returns. Entries whose count is zero become propagable.
+func (s *Set) MarkAllIndexed() {
+	for i, e := range s.pending {
+		e.Indexed = true
+		s.noteZero(e)
+		s.pending[i] = nil
 	}
-	return out
+	s.pending = s.pending[:0]
+}
+
+// IncCount records one more state tuple matched to e.
+//
+//pjoin:hotpath
+func (s *Set) IncCount(e *Entry) { e.Count++ }
+
+// DecCount records that a state tuple matched to pid left the state. It
+// is a no-op for the null pid, an unknown pid or a zero count.
+//
+//pjoin:hotpath
+func (s *Set) DecCount(pid PID) {
+	if pid == NoPID {
+		return
+	}
+	if e := s.byPID[pid]; e != nil && e.Count > 0 {
+		e.Count--
+		s.noteZero(e)
+	}
+}
+
+// MarkPropagated records that e was released downstream but stays in
+// the set (see Entry.Propagated).
+func (s *Set) MarkPropagated(e *Entry) { e.Propagated = true }
+
+// noteZero puts e on the zero-count candidate list if it is propagable
+// and not listed yet.
+func (s *Set) noteZero(e *Entry) {
+	if e.Indexed && e.Count == 0 && !e.Propagated && !e.zeroCand {
+		e.zeroCand = true
+		s.zero = append(s.zero, e)
+	}
 }
 
 // Propagable returns the indexed entries whose count is zero and that
-// have not been released yet: by Theorem 1 these punctuations can be
-// propagated downstream now. Entries retained after propagation
-// (Entry.Propagated) are excluded so they are released at most once.
+// have not been released yet, in arrival order: by Theorem 1 these
+// punctuations can be propagated downstream now. Entries retained after
+// propagation (Entry.Propagated) are excluded so they are released at
+// most once. The cost is the number of candidates, not the set size.
 func (s *Set) Propagable() []*Entry {
-	var out []*Entry
-	for _, e := range s.entries {
-		if e.Indexed && e.Count == 0 && !e.Propagated {
-			out = append(out, e)
+	keep := s.zero[:0]
+	for _, e := range s.zero {
+		switch {
+		case !e.zeroCand:
+			// Removed from the set.
+		case e.Count == 0 && !e.Propagated:
+			keep = append(keep, e)
+		default:
+			e.zeroCand = false
 		}
 	}
-	return out
+	clear(s.zero[len(keep):])
+	s.zero = keep
+	if len(keep) == 0 {
+		return nil
+	}
+	slices.SortFunc(keep, func(a, b *Entry) int { return cmp.Compare(a.PID, b.PID) })
+	return append([]*Entry(nil), keep...)
 }
 
 // String renders the set as "{pid:punct#count, ...}" for debugging.

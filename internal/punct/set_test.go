@@ -87,10 +87,9 @@ func TestUnindexedAndPropagable(t *testing.T) {
 	if got := s.Unindexed(); len(got) != 2 {
 		t.Fatalf("Unindexed = %d entries", len(got))
 	}
-	e1.Indexed = true
-	e1.Count = 2
-	e2.Indexed = true
-	e2.Count = 0
+	s.IncCount(e1)
+	s.IncCount(e1)
+	s.MarkAllIndexed()
 	if got := s.Unindexed(); len(got) != 0 {
 		t.Errorf("Unindexed after indexing = %d entries", len(got))
 	}

@@ -221,8 +221,11 @@ func (s *Set) Compact(attr int) int {
 			}
 			s.dropFromIndex(a)
 			s.dropFromIndex(b)
+			s.narrow = dropEntry(s.narrow, a)
+			s.narrow = dropEntry(s.narrow, b)
+			s.pending = dropEntry(s.pending, b)
 			a.P = merged
-			s.entries = append(s.entries[:j], s.entries[j+1:]...)
+			s.entries = deleteEntry(s.entries, j)
 			delete(s.byPID, b.PID)
 			s.reindex(a)
 			removed++
@@ -244,8 +247,13 @@ func samePatternsExcept(p, q Punctuation, attr int) bool {
 }
 
 // reindex re-registers an entry whose punctuation changed in the keyed
-// fast-path index, preserving arrival order within each bucket.
+// fast-path index and the verification list, preserving arrival order
+// within each.
 func (s *Set) reindex(e *Entry) {
+	if s.isNarrow(e) {
+		s.narrow = append(s.narrow, e)
+		sortEntriesByPID(s.narrow)
+	}
 	if s.keyAttr < 0 || !exhaustiveOn(e.P, s.keyAttr) {
 		return
 	}
